@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/analysis/srcmodel/audit.h"
+#include "src/base/json.h"
 #include "tests/scenarios.h"
 
 namespace {
@@ -91,7 +92,7 @@ int main() {
                    "    {\"name\": \"%s\", \"reorder_type\": \"%s\", \"flagged\": %s, "
                    "\"pair\": \"%s\"}%s\n",
                    s.name, s.reorder_type, id.empty() ? "false" : "true",
-                   srcmodel::JsonEscape(id).c_str(), i + 1 < count ? "," : "");
+                   base::JsonEscape(id).c_str(), i + 1 < count ? "," : "");
     }
   }
 

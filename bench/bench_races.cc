@@ -28,6 +28,7 @@
 
 #include "src/analysis/srcmodel/audit.h"
 #include "src/analysis/srcmodel/races.h"
+#include "src/base/json.h"
 #include "src/oemu/memory_model.h"
 #include "tests/scenarios.h"
 
@@ -99,7 +100,7 @@ int main() {
     if (json != nullptr) {
       std::fprintf(json, "    {\"name\": \"%s\", \"flagged\": %s, \"pair\": \"%s\"}%s\n",
                    s.name, id.empty() ? "false" : "true",
-                   srcmodel::JsonEscape(id).c_str(), i + 1 < count ? "," : "");
+                   base::JsonEscape(id).c_str(), i + 1 < count ? "," : "");
     }
   }
 

@@ -3,11 +3,11 @@
 #include <set>
 #include <sstream>
 
-#include "src/analysis/srcmodel/audit.h"  // JsonEscape
+#include "src/base/json.h"
 
 namespace ozz::analysis {
 
-using srcmodel::JsonEscape;
+using base::JsonEscape;
 
 std::string SarifLog(const std::string& tool_name, const std::string& rules_base_doc,
                      const std::vector<SarifResult>& results) {

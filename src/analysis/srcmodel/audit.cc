@@ -1,17 +1,19 @@
 #include "src/analysis/srcmodel/audit.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
 #include "src/analysis/srcmodel/deps.h"
+#include "src/base/json.h"
 #include "src/oemu/memory_model.h"
 
 namespace ozz::analysis::srcmodel {
 namespace {
+
+using base::JsonEscape;
 
 // The audit's legacy path is the LKMM bit path (DataflowOptions.model null);
 // dependency discharge honors the same model so the pending-pair lattice and
@@ -216,35 +218,6 @@ std::string FormatAuditText(const AuditReport& report) {
         << " residual=" << s.residual << "\n";
   }
   return out.str();
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 std::string AuditReportJson(const AuditReport& report, const std::string& extra_json_member) {

@@ -15,8 +15,7 @@
 // synthetic store-buffering scenario, which an `if (fixed_) OSK_SMP_MB()`
 // gates).
 //
-// The audit is advisory: nothing here prunes a dynamic hint (asserted in
-// tests/static_prune_test.cc).
+// The audit is advisory: it is a report, and the fuzzer never consumes it.
 #ifndef OZZ_SRC_ANALYSIS_SRCMODEL_AUDIT_H_
 #define OZZ_SRC_ANALYSIS_SRCMODEL_AUDIT_H_
 
@@ -93,8 +92,6 @@ std::string FormatAuditText(const AuditReport& report);
 // JSON object; `extra_json_member` (e.g. a pre-rendered "coverage": {...}
 // member) is spliced in verbatim when non-empty.
 std::string AuditReportJson(const AuditReport& report, const std::string& extra_json_member);
-
-std::string JsonEscape(const std::string& s);
 
 }  // namespace ozz::analysis::srcmodel
 

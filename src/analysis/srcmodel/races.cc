@@ -4,11 +4,13 @@
 #include <sstream>
 
 #include "src/analysis/srcmodel/deps.h"
+#include "src/base/json.h"
 #include "src/oemu/memory_model.h"
 
 namespace ozz::analysis::srcmodel {
 namespace {
 
+using base::JsonEscape;
 using oemu::MemoryModel;
 
 // Conflicting-pair grouping key: spaces stripped and array subscripts

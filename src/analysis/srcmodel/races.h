@@ -40,8 +40,8 @@
 // over-approximates). ABBA lock-order cycles from the lock graph are
 // reported as static deadlock candidates alongside.
 //
-// Everything here is advisory: `ozz_fuzz --race-guide` uses it to boost
-// STI priority, never to prune (tests/static_prune_test.cc).
+// Everything here is advisory: it is a report, and the fuzzer never
+// consumes it.
 #ifndef OZZ_SRC_ANALYSIS_SRCMODEL_RACES_H_
 #define OZZ_SRC_ANALYSIS_SRCMODEL_RACES_H_
 

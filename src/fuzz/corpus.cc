@@ -1,12 +1,10 @@
 #include "src/fuzz/corpus.h"
 
-#include <algorithm>
-
 #include "src/base/check.h"
 
 namespace ozz::fuzz {
 
-bool Corpus::Add(Prog prog, const std::set<InstrId>& coverage, std::size_t guide_score) {
+bool Corpus::Add(Prog prog, const std::set<InstrId>& coverage) {
   bool fresh = false;
   for (InstrId id : coverage) {
     if (covered_.insert(id).second) {
@@ -15,24 +13,12 @@ bool Corpus::Add(Prog prog, const std::set<InstrId>& coverage, std::size_t guide
   }
   if (fresh) {
     progs_.push_back(std::move(prog));
-    guide_scores_.push_back(guide_score);
   }
   return fresh;
 }
 
 const Prog& Corpus::Pick(base::Rng& rng) const {
   OZZ_CHECK(!progs_.empty());
-  const std::size_t best = *std::max_element(guide_scores_.begin(), guide_scores_.end());
-  if (best > 0 && rng.OneIn(2)) {
-    // Guided pick: uniform among the top-scored programs.
-    std::vector<std::size_t> top;
-    for (std::size_t i = 0; i < progs_.size(); ++i) {
-      if (guide_scores_[i] == best) {
-        top.push_back(i);
-      }
-    }
-    return progs_[top[static_cast<std::size_t>(rng.Below(top.size()))]];
-  }
   return progs_[static_cast<std::size_t>(rng.Below(progs_.size()))];
 }
 

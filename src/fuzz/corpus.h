@@ -14,23 +14,18 @@ namespace ozz::fuzz {
 class Corpus {
  public:
   // Adds `prog` if its coverage contains instructions never seen before.
-  // Returns true when the program was kept. `guide_score` is the number of
-  // untested static-guide sites the program covers (0 when unguided); it
-  // only biases Pick, never the keep decision.
-  bool Add(Prog prog, const std::set<InstrId>& coverage, std::size_t guide_score = 0);
+  // Returns true when the program was kept.
+  bool Add(Prog prog, const std::set<InstrId>& coverage);
 
   bool empty() const { return progs_.empty(); }
   std::size_t size() const { return progs_.size(); }
   std::size_t coverage_size() const { return covered_.size(); }
 
-  // Uniform pick — except when some program has a positive guide score, in
-  // which case half the picks come from the top-scored programs (the
-  // --static-guide corpus bias).
+  // Uniform pick.
   const Prog& Pick(base::Rng& rng) const;
 
  private:
   std::vector<Prog> progs_;
-  std::vector<std::size_t> guide_scores_;  // parallel to progs_
   std::set<InstrId> covered_;
 };
 

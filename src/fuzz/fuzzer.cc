@@ -2,77 +2,23 @@
 
 #include <algorithm>
 #include <iomanip>
-#include <map>
 #include <sstream>
 
-#include "src/analysis/srcmodel/srcmodel.h"
-#include "src/base/check.h"
 #include "src/base/log.h"
 #include "src/fuzz/profile.h"
 #include "src/obs/metrics.h"
-#include "src/oemu/instr.h"
 
 namespace ozz::fuzz {
 namespace {
 
-// Joins a dynamic instruction onto the audit's (normalized file, line) key.
-// Unregistered ids (synthetic traces in tests) yield no key.
-bool InstrKey(InstrId id, GuideKey* key) {
-  if (id == kInvalidInstr || id > oemu::InstrRegistry::Count()) {
-    return false;
-  }
-  const oemu::InstrInfo& info = oemu::InstrRegistry::Info(id);
-  key->first = analysis::srcmodel::NormalizeSrcPath(info.file);
-  key->second = info.line;
-  return true;
-}
+// Campaign shape (§4): calls per generated program, call pairs hint-tested
+// per program, and interrupt points tested per call with a hardirq handler
+// armed (one MTI each, enumerated over the call's own trace).
+constexpr std::size_t kMaxCalls = 5;
+constexpr std::size_t kMaxPairsPerProg = 8;
+constexpr std::size_t kMaxIrqPointsPerCall = 64;
 
 }  // namespace
-
-std::vector<std::pair<std::size_t, std::size_t>> GuidedPairOrder(
-    const ProgProfile& profile, const std::set<GuideKey>& guide_sites,
-    const std::set<GuideKey>& already_tested) {
-  const std::size_t n = profile.calls.size();
-  // Untested guide sites touched by each call's trace.
-  std::vector<std::set<GuideKey>> touched(n);
-  if (!guide_sites.empty()) {
-    for (std::size_t c = 0; c < n; ++c) {
-      for (const oemu::Event& ev : profile.calls[c].trace) {
-        GuideKey key;
-        if (!InstrKey(ev.instr, &key)) {
-          continue;
-        }
-        if (guide_sites.count(key) != 0 && already_tested.count(key) == 0) {
-          touched[c].insert(std::move(key));
-        }
-      }
-    }
-  }
-  struct Scored {
-    std::size_t a;
-    std::size_t b;
-    std::size_t score;
-  };
-  std::vector<Scored> scored;
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = 0; b < n; ++b) {
-      if (a == b) {
-        continue;
-      }
-      std::set<GuideKey> both = touched[a];
-      both.insert(touched[b].begin(), touched[b].end());
-      scored.push_back(Scored{a, b, both.size()});
-    }
-  }
-  std::stable_sort(scored.begin(), scored.end(),
-                   [](const Scored& x, const Scored& y) { return x.score > y.score; });
-  std::vector<std::pair<std::size_t, std::size_t>> out;
-  out.reserve(scored.size());
-  for (const Scored& s : scored) {
-    out.emplace_back(s.a, s.b);
-  }
-  return out;
-}
 
 std::string CampaignToJson(const CampaignResult& result) {
   std::ostringstream os;
@@ -88,10 +34,6 @@ std::string CampaignToJson(const CampaignResult& result) {
      << ",\"pairs_bounded\":" << hs.pairs_bounded
      << ",\"pair_candidates\":" << hs.pairs.candidates()
      << ",\"pair_proven\":" << hs.pairs.proven()
-     << ",\"guide_sites\":" << result.guide_sites
-     << ",\"guide_sites_tested\":" << result.guide_sites_tested
-     << ",\"sti_guide_sites\":" << result.sti_guide_sites
-     << ",\"sti_guide_sites_tested\":" << result.sti_guide_sites_tested
      << ",\"interrupted\":" << (result.interrupted ? "true" : "false")
      << ",\"metrics\":" << (result.metrics_json.empty() ? "{}" : result.metrics_json)
      << ",\"bugs\":[";
@@ -130,20 +72,39 @@ Fuzzer::Fuzzer(FuzzerOptions options) : options_(std::move(options)), rng_(optio
   template_kernel_ = std::make_unique<osk::Kernel>(options_.kernel_config);
   osk::InstallDefaultSubsystems(*template_kernel_);
   generator_ = std::make_unique<ProgGenerator>(template_kernel_->table(), &rng_);
-  for (const GuideSite& site : options_.static_guide) {
-    guide_sites_.insert({analysis::srcmodel::NormalizeSrcPath(site.file), site.line});
-  }
-  for (const GuideSite& site : options_.sti_guide) {
-    sti_guide_sites_.insert({analysis::srcmodel::NormalizeSrcPath(site.file), site.line});
-  }
 }
 
 Fuzzer::~Fuzzer() = default;
 
 const osk::SyscallTable& Fuzzer::table() const { return template_kernel_->table(); }
 
-void Fuzzer::RecordBug(const MtiSpec& spec, const MtiResult& mti, std::size_t hint_rank,
-                       CampaignResult* result) {
+bool Fuzzer::Exhausted(const CampaignResult& result) const {
+  if (options_.stop_flag != nullptr &&
+      options_.stop_flag->load(std::memory_order_relaxed)) {
+    return true;
+  }
+  return result.mti_runs >= options_.max_mti_runs || result.sti_runs >= options_.max_mti_runs ||
+         result.bugs.size() >= options_.stop_after_bugs;
+}
+
+void Fuzzer::RunExperiment(const MtiSpec& spec, std::size_t hint_rank, CampaignResult* result) {
+  MtiOptions mti_opts;
+  mti_opts.kernel_config = options_.kernel_config;
+  mti_opts.reordering = options_.reordering;
+  mti_opts.model = options_.model;
+  if (!options_.trace_dir.empty()) {
+    std::ostringstream path;
+    path << options_.trace_dir << "/mti_" << std::setw(6) << std::setfill('0')
+         << result->mti_runs << ".ozztrace";
+    mti_opts.trace_path = path.str();
+    mti_opts.trace_label = spec.prog.calls[spec.call_a].desc->name + std::string(" || ") +
+                           (spec.hint.irq_test ? "irq" : spec.prog.calls[spec.call_b].desc->name);
+  }
+  const MtiResult mti = RunMti(spec, mti_opts);
+  ++result->mti_runs;
+  if (!mti.crashed) {
+    return;
+  }
   for (const FoundBug& existing : result->bugs) {
     if (existing.report.title == mti.crash.title) {
       return;  // duplicate crash title
@@ -159,49 +120,6 @@ void Fuzzer::RecordBug(const MtiSpec& spec, const MtiResult& mti, std::size_t hi
   result->bugs.push_back(std::move(bug));
 }
 
-std::size_t Fuzzer::GuideScore(const std::set<InstrId>& coverage) const {
-  if (guide_sites_.empty()) {
-    return 0;
-  }
-  std::set<GuideKey> hit;
-  for (InstrId id : coverage) {
-    GuideKey key;
-    if (InstrKey(id, &key) && guide_sites_.count(key) != 0 && guide_tested_.count(key) == 0) {
-      hit.insert(std::move(key));
-    }
-  }
-  return hit.size();
-}
-
-void Fuzzer::MarkHintTested(const SchedHint& hint) {
-  if (guide_sites_.empty()) {
-    return;
-  }
-  auto mark = [&](InstrId id) {
-    GuideKey key;
-    if (InstrKey(id, &key) && guide_sites_.count(key) != 0) {
-      guide_tested_.insert(std::move(key));
-    }
-  };
-  mark(hint.sched.instr);
-  for (const DynAccess& access : hint.reorder) {
-    mark(access.instr);
-  }
-}
-
-std::size_t Fuzzer::StiBudget() const {
-  return options_.max_sti_runs != 0 ? options_.max_sti_runs : options_.max_mti_runs;
-}
-
-bool Fuzzer::Exhausted(const CampaignResult& result) const {
-  if (options_.stop_flag != nullptr &&
-      options_.stop_flag->load(std::memory_order_relaxed)) {
-    return true;
-  }
-  return result.mti_runs >= options_.max_mti_runs || result.sti_runs >= StiBudget() ||
-         result.bugs.size() >= options_.stop_after_bugs;
-}
-
 bool Fuzzer::TestProg(const Prog& prog, CampaignResult* result) {
   if (prog.calls.empty()) {
     return false;
@@ -214,22 +132,19 @@ bool Fuzzer::TestProg(const Prog& prog, CampaignResult* result) {
     OZZ_LOG(Warn) << "STI crashed sequentially: " << profile.crash.title;
     return false;
   }
-  corpus_.Add(prog, profile.coverage, GuideScore(profile.coverage));
+  corpus_.Add(prog, profile.coverage);
 
-  // Hypothetical-barrier tests for every ordered pair of calls. With a
-  // static guide, pairs touching untested suspicious sites go first; the
-  // pair set itself is unchanged (guidance reorders, never drops).
+  // Hypothetical-barrier tests for every ordered pair of calls, up to
+  // kMaxPairsPerProg pairs that yield hints.
+  const std::size_t n = profile.calls.size();
   std::size_t pairs_tested = 0;
-  for (const auto& [a, b] : GuidedPairOrder(profile, guide_sites_, guide_tested_)) {
-    if (pairs_tested >= options_.max_pairs_per_prog) {
-      continue;
-    }
-    {
+  for (std::size_t a = 0; a < n && pairs_tested < kMaxPairsPerProg; ++a) {
+    for (std::size_t b = 0; b < n && pairs_tested < kMaxPairsPerProg; ++b) {
+      if (a == b) {
+        continue;
+      }
       std::vector<SchedHint> hints = ComputeHints(profile.calls[a].trace, profile.calls[b].trace,
                                                   options_.hints, &result->hint_stats);
-      for (const SchedHint& hint : hints) {
-        MarkHintTested(hint);
-      }
       if (hints.empty()) {
         continue;
       }
@@ -252,32 +167,11 @@ bool Fuzzer::TestProg(const Prog& prog, CampaignResult* result) {
           break;
       }
 
-      for (const auto& [hint, rank] : ordered) {
+      for (auto& [hint, rank] : ordered) {
         if (Exhausted(*result)) {
           return true;
         }
-        MtiSpec spec;
-        spec.prog = prog;
-        spec.call_a = a;
-        spec.call_b = b;
-        spec.hint = hint;
-        MtiOptions mti_opts;
-        mti_opts.kernel_config = options_.kernel_config;
-        mti_opts.reordering = options_.reordering;
-        mti_opts.model = options_.model;
-        if (!options_.trace_dir.empty()) {
-          std::ostringstream path;
-          path << options_.trace_dir << "/mti_" << std::setw(6) << std::setfill('0')
-               << result->mti_runs << ".ozztrace";
-          mti_opts.trace_path = path.str();
-          mti_opts.trace_label = prog.calls[a].desc->name + std::string(" || ") +
-                                 prog.calls[b].desc->name;
-        }
-        MtiResult mti = RunMti(spec, mti_opts);
-        ++result->mti_runs;
-        if (mti.crashed) {
-          RecordBug(spec, mti, rank, result);
-        }
+        RunExperiment(MtiSpec{prog, a, b, std::move(hint)}, rank, result);
       }
     }
   }
@@ -301,50 +195,12 @@ bool Fuzzer::TestIrqPoints(const Prog& prog, const ProgProfile& profile,
     if (!profile.calls[c].irq_armed) {
       continue;
     }
-    std::vector<SchedHint> hints =
-        ComputeIrqHints(profile.calls[c].trace, options_.max_irq_points_per_call);
-    // --sti-guide: injection points on statically irq-racy sites first.
-    // Stable and total — guidance reorders the enumeration, never prunes it.
-    if (!sti_guide_sites_.empty()) {
-      auto score = [&](const SchedHint& h) -> int {
-        GuideKey key;
-        return InstrKey(h.sched.instr, &key) && sti_guide_sites_.count(key) != 0 ? 1 : 0;
-      };
-      std::stable_sort(hints.begin(), hints.end(),
-                       [&](const SchedHint& x, const SchedHint& y) { return score(x) > score(y); });
-    }
+    std::vector<SchedHint> hints = ComputeIrqHints(profile.calls[c].trace, kMaxIrqPointsPerCall);
     for (std::size_t rank = 0; rank < hints.size(); ++rank) {
       if (Exhausted(*result)) {
         return true;
       }
-      const SchedHint& hint = hints[rank];
-      {
-        GuideKey key;
-        if (InstrKey(hint.sched.instr, &key) && sti_guide_sites_.count(key) != 0) {
-          sti_guide_tested_.insert(std::move(key));
-        }
-      }
-      MtiSpec spec;
-      spec.prog = prog;
-      spec.call_a = c;
-      spec.call_b = c;
-      spec.hint = hint;
-      MtiOptions mti_opts;
-      mti_opts.kernel_config = options_.kernel_config;
-      mti_opts.reordering = options_.reordering;
-      mti_opts.model = options_.model;
-      if (!options_.trace_dir.empty()) {
-        std::ostringstream path;
-        path << options_.trace_dir << "/mti_" << std::setw(6) << std::setfill('0')
-             << result->mti_runs << ".ozztrace";
-        mti_opts.trace_path = path.str();
-        mti_opts.trace_label = prog.calls[c].desc->name + std::string(" || irq");
-      }
-      MtiResult mti = RunMti(spec, mti_opts);
-      ++result->mti_runs;
-      if (mti.crashed) {
-        RecordBug(spec, mti, rank, result);
-      }
+      RunExperiment(MtiSpec{prog, c, c, std::move(hints[rank])}, rank, result);
     }
   }
   return Exhausted(*result);
@@ -355,10 +211,6 @@ void Fuzzer::Finalize(const obs::MetricsSnapshot& begin, CampaignResult* result)
   obs::Metrics::Global().GetCounter("fuzz.campaigns." + result->model).Add();
   result->corpus_size = corpus_.size();
   result->coverage = corpus_.coverage_size();
-  result->guide_sites = guide_sites_.size();
-  result->guide_sites_tested = guide_tested_.size();
-  result->sti_guide_sites = sti_guide_sites_.size();
-  result->sti_guide_sites_tested = sti_guide_tested_.size();
   result->metrics_json =
       obs::Metrics::ToJson(obs::Metrics::Delta(begin, obs::Metrics::Global().Snapshot()));
   result->interrupted = options_.stop_flag != nullptr &&
@@ -378,8 +230,8 @@ CampaignResult Fuzzer::Run() {
   }
   while (!Exhausted(result)) {
     Prog prog = corpus_.empty() || rng_.OneIn(3)
-                    ? generator_->Generate(options_.max_calls)
-                    : generator_->Mutate(corpus_.Pick(rng_), options_.max_calls);
+                    ? generator_->Generate(kMaxCalls)
+                    : generator_->Mutate(corpus_.Pick(rng_), kMaxCalls);
     if (TestProg(prog, &result)) {
       break;
     }
@@ -398,7 +250,7 @@ CampaignResult Fuzzer::RunProg(const Prog& prog) {
     }
     // Mutate the latest variant (resetting to the reproducer occasionally)
     // so the search explores around the seed instead of oscillating on it.
-    current = generator_->Mutate(rng_.OneIn(4) ? prog : current, options_.max_calls);
+    current = generator_->Mutate(rng_.OneIn(4) ? prog : current, kMaxCalls);
   }
   Finalize(metrics_begin, &result);
   return result;

@@ -10,9 +10,6 @@
 #include <string>
 #include <vector>
 
-#include <set>
-#include <utility>
-
 #include "src/fuzz/corpus.h"
 #include "src/fuzz/executor.h"
 #include "src/fuzz/hints.h"
@@ -24,23 +21,12 @@
 
 namespace ozz::fuzz {
 
-// A statically-suspicious access site (from the src/analysis/srcmodel
-// audit), identified the same way InstrRegistry identifies dynamic sites:
-// normalized source path + line. See src/fuzz/static_guide.h.
-struct GuideSite {
-  std::string file;
-  u32 line = 0;
-};
-
 struct FuzzerOptions {
   u64 seed = 1;
-  std::size_t max_mti_runs = 5000;  // test budget (MTI executions)
-  // Safety budget on single-threaded (profiling) runs: programs whose pairs
-  // yield no hints consume no MTI budget, so campaigns also stop after this
-  // many STIs. 0 means "same as max_mti_runs".
-  std::size_t max_sti_runs = 0;
-  std::size_t max_calls = 5;
-  std::size_t max_pairs_per_prog = 8;
+  // Test budget: MTI executions. Programs whose pairs yield no hints consume
+  // none of it, so a campaign also stops after this many single-threaded
+  // (profiling) runs.
+  std::size_t max_mti_runs = 5000;
   HintOptions hints;
   osk::KernelConfig kernel_config;
   // Memory-model backend for the whole campaign: profiling, hint
@@ -55,20 +41,6 @@ struct FuzzerOptions {
   // Hint ordering, for the §4.3 search-heuristic ablation.
   enum class HintOrder { kHeuristic, kReverse, kRandom };
   HintOrder hint_order = HintOrder::kHeuristic;
-  // Static guidance (`ozz_fuzz --static-guide`): call pairs whose traces
-  // touch guide sites not yet covered by any hint are tested first, and
-  // corpus picks are biased toward programs covering untested guide sites.
-  // Purely a priority boost — no hint or pair is ever skipped because of it.
-  std::vector<GuideSite> static_guide;
-  // Interrupt-injection pass (`--sti-guide` prioritizes it; the pass itself
-  // runs whenever reordering is on and a profiled call has a hardirq handler
-  // armed): per such call, at most this many injection points are tested
-  // (one MTI each, enumerated over the call's own trace).
-  std::size_t max_irq_points_per_call = 64;
-  // Statically irq-racy sites (from the race analyzer's same-CPU tier):
-  // injection points matching one are tested first. Pure prioritization —
-  // the enumeration set is never pruned (tests/static_prune_test.cc).
-  std::vector<GuideSite> sti_guide;
   // Non-empty: every MTI execution writes a reorder trace into this directory
   // as mti_NNNNNN.ozztrace (triage the set with ozz_trace).
   std::string trace_dir;
@@ -96,14 +68,6 @@ struct CampaignResult {
   // Static pre-filter accounting across every hint calculation of the
   // campaign (pair stats are collected even when pruning is disabled).
   HintStats hint_stats;
-  // Static-guide accounting: sites supplied, and sites some hint's
-  // sched/reorder set covered during the campaign.
-  std::size_t guide_sites = 0;
-  std::size_t guide_sites_tested = 0;
-  // Sti-guide accounting: irq-racy sites supplied, and sites some injected
-  // interrupt point actually landed on.
-  std::size_t sti_guide_sites = 0;
-  std::size_t sti_guide_sites_tested = 0;
   // This campaign's contribution to the obs metrics registry (counter and
   // histogram deltas as JSON); embedded under "metrics" by CampaignToJson.
   std::string metrics_json;
@@ -116,19 +80,6 @@ struct CampaignResult {
 
 // Machine-readable campaign summary (JSON) for dashboards/CI.
 std::string CampaignToJson(const CampaignResult& result);
-
-// The (file, line) key a GuideSite or a registered InstrId joins on.
-using GuideKey = std::pair<std::string, u32>;
-
-// Orders the ordered call pairs (a, b), a != b, of a profiled program so
-// pairs whose two traces touch more not-yet-tested guide sites come first
-// (stable: equal scores keep the natural (a, b) order, which is also the
-// full order when no guide is configured). Exposed for tests — this is the
-// "measurably reorders STI scheduling" contract of --static-guide. Every
-// pair is always present exactly once: guidance reorders, never drops.
-std::vector<std::pair<std::size_t, std::size_t>> GuidedPairOrder(
-    const ProgProfile& profile, const std::set<GuideKey>& guide_sites,
-    const std::set<GuideKey>& already_tested);
 
 class Fuzzer {
  public:
@@ -148,36 +99,29 @@ class Fuzzer {
   const osk::SyscallTable& table() const;
 
  private:
-  std::size_t StiBudget() const;
   bool Exhausted(const CampaignResult& result) const;
   // Profiles `prog` and runs the hypothetical-barrier tests for every
-  // adjacent pair; returns true if the bug budget is exhausted.
+  // ordered call pair; returns true if the budget is exhausted.
   bool TestProg(const Prog& prog, CampaignResult* result);
-  void RecordBug(const MtiSpec& spec, const MtiResult& mti, std::size_t hint_rank,
-                 CampaignResult* result);
-
-  // Fills the end-of-campaign fields: corpus/coverage/guide accounting and
-  // the metrics delta since `begin` (this campaign's contribution).
-  void Finalize(const obs::MetricsSnapshot& begin, CampaignResult* result) const;
 
   // Runs the interrupt-injection pass over `profile`'s armed calls.
   // Returns true when the budget is exhausted.
   bool TestIrqPoints(const Prog& prog, const ProgProfile& profile, CampaignResult* result);
 
-  // Distinct untested guide sites covered by `coverage` (corpus-pick bias).
-  std::size_t GuideScore(const std::set<InstrId>& coverage) const;
-  // Marks guide sites covered by this hint's sched/reorder sets as tested.
-  void MarkHintTested(const SchedHint& hint);
+  // The one experiment path: runs `spec` as an MTI under the campaign's
+  // options, counts it, and records its crash unless a bug with the same
+  // title was already found. `hint_rank` is the hint's heuristic rank.
+  void RunExperiment(const MtiSpec& spec, std::size_t hint_rank, CampaignResult* result);
+
+  // Fills the end-of-campaign fields: corpus/coverage accounting and the
+  // metrics delta since `begin` (this campaign's contribution).
+  void Finalize(const obs::MetricsSnapshot& begin, CampaignResult* result) const;
 
   FuzzerOptions options_;
   base::Rng rng_;
   std::unique_ptr<osk::Kernel> template_kernel_;
   std::unique_ptr<ProgGenerator> generator_;
   Corpus corpus_;
-  std::set<GuideKey> guide_sites_;
-  std::set<GuideKey> guide_tested_;
-  std::set<GuideKey> sti_guide_sites_;
-  std::set<GuideKey> sti_guide_tested_;
 };
 
 }  // namespace ozz::fuzz

@@ -57,7 +57,9 @@ bool HintProvenNoop(const analysis::PairAnalysis& pa, const SchedHint& h) {
 void PruneAxiomatic(const analysis::PairAnalysis& pa, const HintOptions& options,
                     std::vector<SchedHint>* hints, HintStats* stats) {
   analysis::AxOptions ax;
-  ax.max_executions = options.axiomatic_budget;
+  // Candidate executions per pair check: the fuzzer hot path uses a tight
+  // budget (ozz_analyze and the benches use more).
+  ax.max_executions = 4096;
   std::map<std::pair<std::size_t, std::size_t>, analysis::AxVerdict> memo;
   auto check = [&](std::size_t fi, std::size_t si) {
     auto [it, fresh] =

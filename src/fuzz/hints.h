@@ -78,9 +78,6 @@ struct HintOptions {
   // every member is either statically proven or refuted exactly; witnessed
   // members rank their hint first, bounded-out members keep it alive.
   bool axiomatic_prune = true;
-  // Candidate executions per pair check for the axiomatic tier (the fuzzer
-  // hot path uses a tight budget; ozz_analyze and the benches use more).
-  u64 axiomatic_budget = 4096;
   std::size_t max_hints = 256;
 };
 
@@ -126,9 +123,7 @@ std::vector<SchedHint> ComputeHints(const oemu::Trace& reorder_trace,
 // Interrupt-injection hints for one profiled call (the STI interrupt pass):
 // one irq_test hint per dynamic access of `trace`, firing a virtual
 // interrupt right after that access executes — the brute-force enumeration
-// of interrupt points a same-CPU irq race needs. Order follows the trace;
-// the fuzzer's --sti-guide reprioritizes (never drops) using the static
-// irq-racy verdicts.
+// of interrupt points a same-CPU irq race needs. Order follows the trace.
 std::vector<SchedHint> ComputeIrqHints(const oemu::Trace& trace, std::size_t max_hints);
 
 }  // namespace ozz::fuzz

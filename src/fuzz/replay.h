@@ -10,9 +10,11 @@
 // Format (one item per line, '#' comments allowed):
 //   call <name> <arg>...            -- args: literal ints or rN (result refs)
 //   pair <a> <b>                    -- indices of the concurrent calls
-//   test store|load                 -- hypothetical barrier test type
+//                                      (<a> <a> for an irq test)
+//   test store|load|irq             -- hypothetical barrier test type, or an
+//                                      interrupt injected at the sched point
 //   sched <file>:<line>#<occ> before|after
-//   reorder <file>:<line>#<occ>
+//   reorder <file>:<line>#<occ>     -- none for an irq test
 #ifndef OZZ_SRC_FUZZ_REPLAY_H_
 #define OZZ_SRC_FUZZ_REPLAY_H_
 

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "src/base/check.h"
+#include "src/base/json.h"
 #include "src/obs/prof.h"
 #include "src/oemu/instr.h"
 
@@ -49,57 +50,16 @@ BugReport MakeBugReport(const MtiSpec& spec, const MtiResult& result) {
   return report;
 }
 
-namespace {
-
-void AppendJsonString(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << ' ';
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
-
 std::string BugReportToJson(const BugReport& report) {
   std::ostringstream os;
-  os << "{\"title\":";
-  AppendJsonString(os, report.title);
-  os << ",\"subsystem\":";
-  AppendJsonString(os, report.subsystem);
-  os << ",\"reorder_type\":";
-  AppendJsonString(os, report.reorder_type);
-  os << ",\"hypothetical_barrier\":";
-  AppendJsonString(os, report.hypothetical_barrier);
-  os << ",\"program\":";
-  AppendJsonString(os, report.prog);
-  os << ",\"hint\":";
-  AppendJsonString(os, report.hint);
-  os << ",\"reordered_accesses\":[";
+  os << "{\"title\":\"" << base::JsonEscape(report.title) << "\",\"subsystem\":\""
+     << base::JsonEscape(report.subsystem) << "\",\"reorder_type\":\""
+     << base::JsonEscape(report.reorder_type) << "\",\"hypothetical_barrier\":\""
+     << base::JsonEscape(report.hypothetical_barrier) << "\",\"program\":\""
+     << base::JsonEscape(report.prog) << "\",\"hint\":\"" << base::JsonEscape(report.hint)
+     << "\",\"reordered_accesses\":[";
   for (std::size_t i = 0; i < report.reordered_accesses.size(); ++i) {
-    if (i > 0) {
-      os << ',';
-    }
-    AppendJsonString(os, report.reordered_accesses[i]);
+    os << (i > 0 ? ",\"" : "\"") << base::JsonEscape(report.reordered_accesses[i]) << '"';
   }
   os << "]}";
   return os.str();

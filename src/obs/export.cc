@@ -3,8 +3,12 @@
 #include <cstdio>
 #include <sstream>
 
+#include "src/base/json.h"
+
 namespace ozz::obs {
 namespace {
+
+using base::JsonEscape;
 
 // Display tid: rings bias thread ids the same way, so tracks line up with the
 // recorder's slot order and stay non-negative for the UI.
@@ -18,36 +22,6 @@ std::string ThreadName(i16 thread) {
     return "sim-" + std::to_string(thread);
   }
   return "t" + std::to_string(thread);
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string EventDetail(const TraceFile& file, const TraceEvent& e) {

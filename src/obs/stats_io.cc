@@ -9,28 +9,10 @@
 #include <sstream>
 #include <utility>
 
+#include "src/base/json.h"
+
 namespace ozz::obs {
 namespace {
-
-// ---------------------------------------------------------------------------
-// JSON writing
-
-void AppendEscaped(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      *out += buf;
-    } else {
-      out->push_back(c);
-    }
-  }
-  out->push_back('"');
-}
 
 // ---------------------------------------------------------------------------
 // JSON parsing: a minimal recursive-descent reader for the subset this file
@@ -318,8 +300,7 @@ StatsSnapshot BuildStatsSnapshot(const std::string& kind, u64 seq, u64 elapsed_u
 }
 
 std::string WriteStatsJson(const StatsSnapshot& s) {
-  std::string out = "{\"kind\":";
-  AppendEscaped(&out, s.kind);
+  std::string out = "{\"kind\":\"" + base::JsonEscape(s.kind) + '"';
   out += ",\"seq\":" + std::to_string(s.seq);
   out += ",\"elapsed_us\":" + std::to_string(s.elapsed_us);
   out += ",\"ticks_per_sec\":" + std::to_string(s.ticks_per_sec);
@@ -327,8 +308,7 @@ std::string WriteStatsJson(const StatsSnapshot& s) {
   for (std::size_t i = 0; i < s.phases.size(); ++i) {
     const ProfSnapshot::PhaseStat& p = s.phases[i];
     out += i > 0 ? ",{" : "{";
-    out += "\"name\":";
-    AppendEscaped(&out, p.name);
+    out += "\"name\":\"" + base::JsonEscape(p.name) + '"';
     out += ",\"count\":" + std::to_string(p.count);
     out += ",\"total_ticks\":" + std::to_string(p.total_ticks);
     out += ",\"self_ticks\":" + std::to_string(p.self_ticks) + "}";
@@ -338,14 +318,11 @@ std::string WriteStatsJson(const StatsSnapshot& s) {
     const StatsSite& site = s.sites[i];
     out += i > 0 ? ",{" : "{";
     out += "\"instr\":" + std::to_string(site.instr);
-    out += ",\"phase\":";
-    AppendEscaped(&out, site.phase);
+    out += ",\"phase\":\"" + base::JsonEscape(site.phase) + '"';
     out += ",\"hits\":" + std::to_string(site.hits);
     out += ",\"ticks\":" + std::to_string(site.ticks);
-    out += ",\"file\":";
-    AppendEscaped(&out, site.file);
-    out += ",\"function\":";
-    AppendEscaped(&out, site.function);
+    out += ",\"file\":\"" + base::JsonEscape(site.file) + '"';
+    out += ",\"function\":\"" + base::JsonEscape(site.function) + '"';
     out += ",\"line\":" + std::to_string(site.line) + "}";
   }
   out += "],\"prof_counters\":{";
@@ -354,7 +331,7 @@ std::string WriteStatsJson(const StatsSnapshot& s) {
     if (!first) {
       out += ",";
     }
-    AppendEscaped(&out, name);
+    out += '"' + base::JsonEscape(name) + '"';
     out += ":" + std::to_string(value);
     first = false;
   }

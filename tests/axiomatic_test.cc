@@ -17,6 +17,7 @@
 #include "src/analysis/witness.h"
 #include "src/oemu/instr.h"
 #include "src/oemu/runtime.h"
+#include "tests/model_param.h"
 #include "tests/prop_common.h"
 
 namespace ozz::analysis {
@@ -544,9 +545,7 @@ TEST_P(AxiomaticPropertyPerModel, RefutationsNeverContradictedByRuntime) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, AxiomaticPropertyPerModel,
                          ::testing::ValuesIn(oemu::MemoryModel::All()),
-                         [](const ::testing::TestParamInfo<const oemu::MemoryModel*>& pinfo) {
-                           return std::string(pinfo.param->name());
-                         });
+                         oemu::ModelParamName);
 
 }  // namespace
 }  // namespace ozz::analysis

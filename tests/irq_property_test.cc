@@ -33,6 +33,7 @@
 #include "src/oemu/memory_model.h"
 #include "src/oemu/runtime.h"
 #include "src/rt/machine.h"
+#include "tests/model_param.h"
 
 namespace ozz {
 namespace {
@@ -282,9 +283,7 @@ TEST_P(IrqVerdictPropertyPerModel, StaticVerdictsMatchInjectionEnumeration) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, IrqVerdictPropertyPerModel,
                          ::testing::ValuesIn(oemu::MemoryModel::All()),
-                         [](const ::testing::TestParamInfo<const oemu::MemoryModel*>& pinfo) {
-                           return std::string(pinfo.param->name());
-                         });
+                         oemu::ModelParamName);
 
 }  // namespace
 }  // namespace ozz

@@ -275,22 +275,30 @@ TEST(MachineIrqTest, DeferredInterruptCommitsDelayedStoreAtRestore) {
 }
 
 // The trace ring must record the deferral and the (deferred) delivery, in
-// that order, with the documented a0 payloads.
+// that order, with the documented a0 payloads. With tracing compiled out the
+// ring stays empty, and both deliveries still happen.
 TEST(MachineIrqTest, TraceRingRecordsDeferredDelivery) {
   obs::TraceRecorder recorder;
   recorder.Activate();
   Machine m(1);
+  int interrupts = 0;
+  std::vector<int> seen;
+  m.SetInterruptHook([&](ThreadId) { ++interrupts; });
   m.AddThread("a", 0, [&] {
     Machine* mc = Machine::Current();
     mc->IrqSave();
     mc->InterruptSelf();
     mc->IrqRestore();
-    mc->InterruptSelf();  // unmasked: immediate delivery
+    seen.push_back(interrupts);  // the deferred delivery
+    mc->InterruptSelf();         // unmasked: immediate delivery
+    seen.push_back(interrupts);
   });
   m.Run();
   std::vector<obs::TraceRecorder::ThreadLog> logs = recorder.Collect();
   recorder.Deactivate();
+  EXPECT_EQ(seen, (std::vector<int>{1, 2}));
 
+#if defined(OZZ_TRACE_ENABLED)
   std::vector<std::pair<obs::EvType, u64>> irq_events;
   for (const auto& log : logs) {
     for (const auto& e : log.events) {
@@ -306,6 +314,11 @@ TEST(MachineIrqTest, TraceRingRecordsDeferredDelivery) {
   EXPECT_EQ(irq_events[1].second, 1u) << "a0 = was_deferred";
   EXPECT_EQ(irq_events[2].first, obs::EvType::kIrqDelivered);
   EXPECT_EQ(irq_events[2].second, 0u) << "a0 = immediate";
+#else
+  for (const auto& log : logs) {
+    EXPECT_TRUE(log.events.empty()) << "tracing is compiled out";
+  }
+#endif
 }
 
 // A fire_irq plan point delivers a virtual interrupt on the running thread at

@@ -10,6 +10,7 @@
 
 #include "src/oemu/cell.h"
 #include "src/oemu/runtime.h"
+#include "tests/model_param.h"
 
 namespace ozz::oemu {
 namespace {
@@ -370,9 +371,7 @@ TEST_P(ModelRuntimeTest, StoreStoreOrderPreservedWhereRequired) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, ModelRuntimeTest,
                          ::testing::ValuesIn(MemoryModel::All()),
-                         [](const ::testing::TestParamInfo<const MemoryModel*>& pinfo) {
-                           return std::string(pinfo.param->name());
-                         });
+                         ModelParamName);
 
 }  // namespace
 }  // namespace ozz::oemu

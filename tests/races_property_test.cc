@@ -21,6 +21,7 @@
 #include "src/analysis/srcmodel/deps.h"
 #include "src/analysis/srcmodel/srcmodel.h"
 #include "src/oemu/memory_model.h"
+#include "tests/model_param.h"
 #include "tests/prop_common.h"
 
 namespace ozz::analysis::srcmodel {
@@ -237,9 +238,7 @@ TEST_P(StaticOrderingPropertyPerModel, OrderedVerdictsNeverContradictedByRuntime
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, StaticOrderingPropertyPerModel,
                          ::testing::ValuesIn(oemu::MemoryModel::All()),
-                         [](const ::testing::TestParamInfo<const oemu::MemoryModel*>& pinfo) {
-                           return std::string(pinfo.param->name());
-                         });
+                         oemu::ModelParamName);
 
 }  // namespace
 }  // namespace ozz::analysis::srcmodel

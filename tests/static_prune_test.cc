@@ -11,10 +11,8 @@
 #include <string>
 
 #include "src/analysis/report.h"
-#include "src/analysis/srcmodel/audit.h"
 #include "src/fuzz/fuzzer.h"
 #include "src/fuzz/profile.h"
-#include "src/fuzz/static_guide.h"
 #include "tests/scenarios.h"
 
 namespace ozz::fuzz {
@@ -134,42 +132,6 @@ TEST(StaticPruneEffectiveness, RdsLoopXmitSideFullyPruned) {
   EXPECT_TRUE(trigger_present) << "the RDS-triggering hint was pruned";
   // And pruning only ever removes hints relative to the unpruned set.
   EXPECT_LE(send_hints.size(), ComputeHints(sendmsg, xmit, no_prune).size());
-}
-
-// The source-level audit (ozz_audit / --static-guide) is ADVISORY: its
-// evidence may reorder what gets tested first, but it must never prune a
-// hint or drop a call pair. A guided campaign therefore generates exactly
-// the same hints and finds the same bug as an unguided one.
-TEST(StaticGuideAdvisory, GuidanceNeverPrunesHintsOrLosesBugs) {
-  namespace srcmodel = analysis::srcmodel;
-  std::vector<srcmodel::SourceFile> files = srcmodel::LoadSourceDir(OZZ_SOURCE_DIR "/src/osk");
-  ASSERT_FALSE(files.empty());
-  srcmodel::AuditReport report = srcmodel::RunAudit(files);
-  std::vector<GuideSite> guide = GuideSitesFromReport(report);
-  ASSERT_FALSE(guide.empty());
-
-  auto hunt = [&](bool guided) {
-    FuzzerOptions options;
-    options.seed = 99;
-    options.max_mti_runs = 3000;
-    options.stop_after_bugs = 1;
-    if (guided) {
-      options.static_guide = guide;
-    }
-    Fuzzer fuzzer(options);
-    return fuzzer.RunProg(SeedProgramFor(fuzzer.table(), "rds"));
-  };
-  CampaignResult guided = hunt(true);
-  CampaignResult unguided = hunt(false);
-  ASSERT_EQ(unguided.bugs.size(), 1u);
-  ASSERT_EQ(guided.bugs.size(), 1u) << "static guidance lost the bug";
-  EXPECT_EQ(guided.bugs[0].report.title, unguided.bugs[0].report.title);
-  // Same program, same pairs, same hints — guidance only reorders.
-  EXPECT_EQ(guided.hint_stats.hints_generated, unguided.hint_stats.hints_generated);
-  EXPECT_EQ(guided.hint_stats.hints_pruned(), unguided.hint_stats.hints_pruned());
-  EXPECT_EQ(guided.guide_sites, guide.size());
-  EXPECT_GT(guided.guide_sites_tested, 0u);
-  EXPECT_EQ(unguided.guide_sites, 0u);
 }
 
 }  // namespace

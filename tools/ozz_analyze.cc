@@ -24,13 +24,17 @@
 #include "src/analysis/fence_synth.h"
 #include "src/analysis/report.h"
 #include "src/analysis/srcmodel/audit.h"
+#include "src/analysis/srcmodel/races.h"
+#include "src/base/json.h"
+#include "src/base/number.h"
+#include "src/fuzz/coverage_gap.h"
 #include "src/fuzz/profile.h"
-#include "src/fuzz/static_guide.h"
 #include "src/fuzz/syslang.h"
 #include "src/oemu/instr.h"
 #include "src/osk/kernel.h"
 
 using namespace ozz;
+using base::JsonEscape;
 
 namespace {
 
@@ -51,36 +55,6 @@ void Usage() {
       "  --src DIR           source tree for --audit/--races (default: src/osk)\n"
       "  --list              print known subsystems and exit\n",
       oemu::MemoryModel::NamesForHelp().c_str());
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 // One ranked pair's axiomatic outcome.
@@ -138,13 +112,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--hack-migration") {
       config.percpu_migration_hack = true;
     } else if (arg == "--pairs") {
-      max_pairs = std::strtoull(next(), nullptr, 10);
+      max_pairs = base::FlagNumber<std::size_t>("ozz_analyze", arg, next());
     } else if (arg == "--json") {
       json = true;
     } else if (arg == "--no-axiomatic") {
       axiomatic = false;
     } else if (arg == "--budget") {
-      ax.max_executions = std::strtoull(next(), nullptr, 10);
+      ax.max_executions = base::FlagNumber<u64>("ozz_analyze", arg, next());
     } else if (arg == "--audit") {
       audit = true;
     } else if (arg == "--races") {

@@ -16,9 +16,9 @@
 //     statically-unordered pairs and stale baseline entries need an explicit
 //     baseline regeneration to land.
 // By default the report also joins static sites against the seed-corpus
-// dynamic profile (never-profiled sites, never-hint-tested pairs); that is
-// the signal `ozz_fuzz --static-guide` consumes. The audit is advisory: it
-// never prunes a hint (tests/static_prune_test.cc asserts this).
+// dynamic profile (never-profiled sites, never-hint-tested pairs; see
+// src/fuzz/coverage_gap.h). The audit is advisory: the fuzzer never
+// consumes it.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -29,7 +29,7 @@
 #include "src/analysis/baseline_diff.h"
 #include "src/analysis/sarif.h"
 #include "src/analysis/srcmodel/audit.h"
-#include "src/fuzz/static_guide.h"
+#include "src/fuzz/coverage_gap.h"
 #include "src/oemu/memory_model.h"
 
 using namespace ozz;

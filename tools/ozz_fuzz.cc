@@ -14,18 +14,16 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <string>
 #include <thread>
 
-#include "src/analysis/srcmodel/audit.h"
 #include "src/base/log.h"
+#include "src/base/number.h"
 #include "src/fuzz/fuzzer.h"
 #include "src/fuzz/replay.h"
-#include "src/fuzz/static_guide.h"
 #include "src/obs/prof.h"
 #include "src/obs/stats_io.h"
 #include "src/oemu/instr.h"
@@ -75,12 +73,6 @@ void Usage() {
       "  --fixed SUBSYS      apply the barrier patch for SUBSYS (repeatable)\n"
       "  --hack-migration    emulate per-CPU thread migration (Table 4 #6)\n"
       "  --hint-order X      heuristic | reverse | random (ablation)\n"
-      "  --static-guide      boost STIs covering statically-suspicious untested pairs\n"
-      "  --race-guide        like --static-guide, seeded from the cross-thread race\n"
-      "                      analyzer (ozz_races) instead of the barrier audit\n"
-      "  --sti-guide         prioritize interrupt-injection points on statically\n"
-      "                      irq-racy sites (same-CPU tier; never prunes a point)\n"
-      "  --guide-src DIR     source tree for the guide modes (default: src/osk)\n"
       "  --seed-prog NAME    hunt around one scenario's seed program only\n"
       "  --save-dir DIR      write replayable crash specs into DIR\n"
       "  --trace-out DIR     write a reorder trace per MTI into DIR (see ozz_trace)\n"
@@ -108,10 +100,6 @@ int main(int argc, char** argv) {
   double stats_interval = 0.0;
   bool prof = false;
   std::string seed_prog;
-  std::string guide_src = "src/osk";
-  bool static_guide = false;
-  bool race_guide = false;
-  bool sti_guide = false;
   bool list_syscalls = false;
   bool json = false;
 
@@ -119,11 +107,11 @@ int main(int argc, char** argv) {
     std::string arg = argv[i];
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : ""; };
     if (arg == "--seed") {
-      options.seed = std::strtoull(next(), nullptr, 10);
+      options.seed = base::FlagNumber<u64>("ozz_fuzz", arg, next());
     } else if (arg == "--budget") {
-      options.max_mti_runs = std::strtoull(next(), nullptr, 10);
+      options.max_mti_runs = base::FlagNumber<std::size_t>("ozz_fuzz", arg, next());
     } else if (arg == "--bugs") {
-      options.stop_after_bugs = std::strtoull(next(), nullptr, 10);
+      options.stop_after_bugs = base::FlagNumber<std::size_t>("ozz_fuzz", arg, next());
     } else if (arg == "--no-reorder") {
       options.reordering = false;
     } else if (arg == "--model") {
@@ -147,14 +135,6 @@ int main(int argc, char** argv) {
       options.hint_order = order == "reverse"  ? fuzz::FuzzerOptions::HintOrder::kReverse
                            : order == "random" ? fuzz::FuzzerOptions::HintOrder::kRandom
                                                : fuzz::FuzzerOptions::HintOrder::kHeuristic;
-    } else if (arg == "--static-guide") {
-      static_guide = true;
-    } else if (arg == "--race-guide") {
-      race_guide = true;
-    } else if (arg == "--sti-guide") {
-      sti_guide = true;
-    } else if (arg == "--guide-src") {
-      guide_src = next();
     } else if (arg == "--seed-prog") {
       seed_prog = next();
     } else if (arg == "--save-dir") {
@@ -164,7 +144,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--metrics-out") {
       metrics_out = next();
     } else if (arg == "--stats-interval") {
-      stats_interval = std::strtod(next(), nullptr);
+      stats_interval = base::FlagNumber<double>("ozz_fuzz", arg, next());
     } else if (arg == "--stats-out") {
       stats_out = next();
     } else if (arg == "--prof") {
@@ -178,28 +158,6 @@ int main(int argc, char** argv) {
     } else {
       Usage();
       return arg == "--help" || arg == "-h" ? 0 : 2;
-    }
-  }
-
-  if (static_guide || race_guide || sti_guide) {
-    namespace srcmodel = analysis::srcmodel;
-    std::vector<srcmodel::SourceFile> files = srcmodel::LoadSourceDir(guide_src);
-    if (files.empty()) {
-      std::fprintf(stderr, "ozz_fuzz: --%s-guide: no .cc/.h files under '%s'; unguided\n",
-                   race_guide ? "race" : sti_guide ? "sti" : "static", guide_src.c_str());
-    } else {
-      if (race_guide || sti_guide) {
-        srcmodel::RaceReport races = srcmodel::RunRaceAnalysis(files);
-        if (race_guide) {
-          options.static_guide = fuzz::GuideSitesFromRaces(races);
-        }
-        if (sti_guide) {
-          options.sti_guide = fuzz::GuideSitesFromIrqRaces(races);
-        }
-      }
-      if (static_guide) {
-        options.static_guide = fuzz::GuideSitesFromReport(srcmodel::RunAudit(files));
-      }
     }
   }
 
@@ -324,14 +282,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.mti_runs),
               static_cast<unsigned long long>(result.sti_runs), result.corpus_size,
               result.coverage);
-  if (result.guide_sites > 0) {
-    std::printf("static guide: %zu suspicious sites, %zu reached by a tested hint\n",
-                result.guide_sites, result.guide_sites_tested);
-  }
-  if (result.sti_guide_sites > 0) {
-    std::printf("sti guide: %zu irq-racy sites, %zu hit by an injected interrupt point\n",
-                result.sti_guide_sites, result.sti_guide_sites_tested);
-  }
   std::printf(
       "hints: %llu generated, pruned %llu static + %llu axiomatic; "
       "pairs: %llu proven / %llu, verdicts %llu witnessed / %llu refuted / %llu bounded\n\n",

@@ -13,7 +13,7 @@
 // planted bugs; the per-(model, subsystem) gated/residual matrix feeds the
 // CI baseline (ci/races_baseline.txt). ABBA lock-order cycles are reported
 // as static deadlock candidates. Like the audit, everything is advisory:
-// `ozz_fuzz --race-guide` only boosts priority, never prunes.
+// the fuzzer never consumes it.
 #include <cstdio>
 #include <cstring>
 #include <fstream>

@@ -1,7 +1,7 @@
 // ozz_repro: replays a crash spec saved by ozz_fuzz --save-dir.
 //
 // Usage: ozz_repro SPEC_FILE [--fixed SUBSYS]... [--no-reorder] [--runs N]
-//                  [--trace-out FILE]
+//                  [--model NAME] [--hack-migration] [--trace-out FILE]
 //
 // Replays deterministically; --fixed lets a developer confirm a candidate
 // patch kills the reproduction, and --no-reorder demonstrates the crash
@@ -10,22 +10,30 @@
 // --trace-out, which also forces a dump for non-crashing replays) — inspect
 // it with ozz_trace.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "src/base/number.h"
 #include "src/fuzz/replay.h"
 #include "src/fuzz/report.h"
 #include "src/osk/kernel.h"
 
 using namespace ozz;
 
+namespace {
+
+void Usage() {
+  std::printf(
+      "usage: ozz_repro SPEC_FILE [--fixed SUBSYS]... [--no-reorder] [--runs N]\n"
+      "                 [--model NAME] [--hack-migration] [--trace-out FILE]\n");
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   if (argc < 2) {
-    std::printf(
-        "usage: ozz_repro SPEC_FILE [--fixed SUBSYS]... [--no-reorder] [--runs N]\n"
-        "                 [--model NAME] [--trace-out FILE]\n");
+    Usage();
     return 2;
   }
   std::string path = argv[1];
@@ -34,27 +42,32 @@ int main(int argc, char** argv) {
   bool trace_requested = false;
   std::string trace_out;
   const oemu::MemoryModel* model = &oemu::MemoryModel::Default();  // $OZZ_DEFAULT_MODEL
-  int runs = 1;
+  unsigned runs = 1;
   for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--fixed" && i + 1 < argc) {
-      config.fixed.insert(argv[++i]);
+    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : ""; };
+    if (arg == "--fixed") {
+      config.fixed.insert(next());
     } else if (arg == "--no-reorder") {
       reorder = false;
-    } else if (arg == "--model" && i + 1 < argc) {
-      model = oemu::MemoryModel::ByName(argv[++i]);
+    } else if (arg == "--model") {
+      const char* name = next();
+      model = oemu::MemoryModel::ByName(name);
       if (model == nullptr) {
-        std::printf("unknown memory model '%s' (known: %s)\n", argv[i],
+        std::printf("unknown memory model '%s' (known: %s)\n", name,
                     oemu::MemoryModel::NamesForHelp().c_str());
         return 2;
       }
-    } else if (arg == "--runs" && i + 1 < argc) {
-      runs = std::atoi(argv[++i]);
-    } else if (arg == "--trace-out" && i + 1 < argc) {
+    } else if (arg == "--runs") {
+      runs = base::FlagNumber<unsigned>("ozz_repro", arg, next());
+    } else if (arg == "--trace-out") {
       trace_requested = true;
-      trace_out = argv[++i];
+      trace_out = next();
     } else if (arg == "--hack-migration") {
       config.percpu_migration_hack = true;
+    } else {
+      Usage();
+      return 2;
     }
   }
 
@@ -76,14 +89,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::printf("replaying %s (%d run%s, reordering %s, model %s)\n", path.c_str(), runs,
+  std::printf("replaying %s (%u run%s, reordering %s, model %s)\n", path.c_str(), runs,
               runs == 1 ? "" : "s", reorder ? "on" : "OFF", model->name());
   std::printf("program: %s\n", spec.prog.ToString().c_str());
   std::printf("hint:    %s\n\n", spec.hint.ToString().c_str());
 
-  int crashes = 0;
+  unsigned crashes = 0;
   fuzz::MtiResult last;
-  for (int i = 0; i < runs; ++i) {
+  for (unsigned i = 0; i < runs; ++i) {
     fuzz::MtiOptions options;
     options.kernel_config = config;
     options.reordering = reorder;
@@ -94,7 +107,7 @@ int main(int argc, char** argv) {
   if (last.crashed) {
     std::printf("%s\n", fuzz::FormatBugReport(fuzz::MakeBugReport(spec, last)).c_str());
   }
-  std::printf("%d/%d runs crashed (deterministic: expect all or none)\n", crashes, runs);
+  std::printf("%u/%u runs crashed (deterministic: expect all or none)\n", crashes, runs);
 
   // Reproduced crashes auto-dump a reorder trace (the replay is
   // deterministic, so one more traced run reproduces the same execution).

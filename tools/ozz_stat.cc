@@ -11,11 +11,10 @@
 // useful for before/after comparisons across optimization work. --folded
 // prints collapsed stacks for flamegraph.pl / speedscope instead.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "src/base/number.h"
 #include "src/obs/stats_io.h"
 
 using namespace ozz;
@@ -80,9 +79,9 @@ int main(int argc, char** argv) {
     std::string arg = argv[i];
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : ""; };
     if (arg == "--top") {
-      top_n = std::strtoull(next(), nullptr, 10);
+      top_n = base::FlagNumber<std::size_t>("ozz_stat", arg, next());
     } else if (arg == "--seq") {
-      seq = std::strtol(next(), nullptr, 10);
+      seq = base::FlagNumber<long>("ozz_stat", arg, next());
     } else if (arg == "--folded") {
       folded = true;
     } else if (arg == "--json") {

@@ -17,11 +17,13 @@
 #include <string>
 #include <vector>
 
+#include "src/base/json.h"
 #include "src/obs/export.h"
 #include "src/obs/trace.h"
 #include "src/obs/triage.h"
 
 using namespace ozz;
+using base::JsonEscape;
 
 namespace {
 
@@ -36,17 +38,6 @@ void Usage() {
       "                      (version-1 traces predate the field and match 'lkmm')\n"
       "  --stats             per-ring event-count/drop summary (no triage/export)\n"
       "  --json              machine-readable triage output\n");
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  return out;
 }
 
 }  // namespace
